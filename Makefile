@@ -1,7 +1,7 @@
 # Canonical verification entry points (wired into README).
 #
 #   make check      - everything CI needs: vet, build, race-enabled tests, and
-#                     the parallel-vs-sequential equivalence check
+#                     the -workers equivalence check
 #   make test       - plain test run (tier-1: go build ./... && go test ./...)
 #   make bench      - regenerate the paper artifacts via the benchmark harness
 #   make benchguard - allocation gate: scheduler, disabled-trace, switch
@@ -29,14 +29,13 @@ build:
 test: build
 	$(GO) test ./...
 
-# -race across the whole tree also covers the partitioned engine: the clos
-# determinism tests run the window protocol's goroutines under the detector.
+# -race across the whole tree covers the -workers sweep pool: the
+# determinism tests run concurrent cells under the detector.
 race:
 	$(GO) test -race ./...
 
-# Short-mode equivalence: the determinism suites (worker sweeps AND engine
-# partitioning) plus an end-to-end CLI diff of -workers=1 vs -workers=4 and
-# -domains=1 vs 2 vs 6 output on the converted experiments.
+# Short-mode equivalence: the determinism suites plus an end-to-end CLI diff
+# of -workers=1 vs -workers=4 output on every experiment but fig13.
 equivalence:
 	$(GO) test -run 'Deterministic|Golden|StableAcross' ./internal/parallel ./internal/revengine ./internal/experiments ./internal/lab
 	./scripts/equivalence.sh
@@ -46,13 +45,10 @@ bench:
 
 # The hot paths the zero-alloc refactor bought must stay allocation-free:
 # run the guarded benchmarks with -benchmem and gate on allocs/op == 0.
-# ./internal/sim/parallel contributes the inter-domain channel ping-pong
-# (BenchmarkEngineParallelXfer), so the window protocol's stage/drain/deliver
-# cycle is gated alongside the serial scheduler.
 benchguard:
 	$(GO) test -run '^$$' -bench '^(BenchmarkEngine|BenchmarkEmitDisabled|BenchmarkSwitchForward|BenchmarkContextCacheHit|BenchmarkLinkAdversaryOff|BenchmarkCQPollInto|BenchmarkArbiterPick)' \
-		-benchtime 1000x -benchmem ./internal/sim ./internal/sim/parallel ./internal/trace ./internal/fabric ./internal/nic ./internal/verbs \
-		| $(GO) run ./scripts/benchguard.go -min 12
+		-benchtime 1000x -benchmem ./internal/sim ./internal/trace ./internal/fabric ./internal/nic ./internal/verbs \
+		| $(GO) run ./scripts/benchguard.go -min 11
 
 perf:
 	./scripts/bench.sh

@@ -32,7 +32,6 @@ func main() {
 	full := flag.Bool("full", false, "run paper-scale parameter spaces (slower)")
 	seed := flag.Int64("seed", 1, "deterministic seed")
 	workers := flag.Int("workers", runtime.NumCPU(), "worker goroutines for sweeps (1 = sequential; results are identical at any count)")
-	domains := flag.Int("domains", 1, "engine domains for partitionable fabrics (clos; results are identical at any count)")
 	perClass := flag.Int("perclass", 12, "fig13 traces per class (paper: ~395)")
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON instead of rendered tables")
 	flag.Parse()
@@ -66,7 +65,7 @@ func main() {
 			"fig9", "fig10", "fig11", "table5", "lossgrid", "tenants", "exhaust", "nvmf", "pythia", "fig12", "fig13", "defense", "defgrid", "redn", "clos"}
 	}
 	for _, exp := range args {
-		if err := run(exp, prof, *full, *seed, *perClass, *workers, *domains); err != nil {
+		if err := run(exp, prof, *full, *seed, *perClass, *workers); err != nil {
 			fatalf("%s: %v", exp, err)
 		}
 	}
@@ -86,7 +85,7 @@ func emit(result any, render func() string) error {
 	return enc.Encode(result)
 }
 
-func run(exp string, prof nic.Profile, full bool, seed int64, perClass, workers, domains int) error {
+func run(exp string, prof nic.Profile, full bool, seed int64, perClass, workers int) error {
 	probes := 200
 	if full {
 		probes = 600
@@ -226,7 +225,7 @@ func run(exp string, prof nic.Profile, full bool, seed int64, perClass, workers,
 		}
 		return emit(r, r.Render)
 	case "clos":
-		r, err := experiments.Clos(prof, domains, full, seed, workers)
+		r, err := experiments.Clos(prof, full, seed, workers)
 		if err != nil {
 			return err
 		}

@@ -19,13 +19,12 @@ import (
 	"github.com/thu-has/ragnar/internal/nic"
 	"github.com/thu-has/ragnar/internal/rednlite"
 	"github.com/thu-has/ragnar/internal/sim"
-	parsim "github.com/thu-has/ragnar/internal/sim/parallel"
 )
 
 // The bench subcommand is the repo's machine-readable perf baseline: it runs
 // the hot-path benchmarks through testing.Benchmark and emits one JSON
 // document per run, designed to be checked in as BENCH_<date>.json (see
-// scripts/bench.sh and EXPERIMENTS.md "Performance baseline"). Eleven
+// scripts/bench.sh and EXPERIMENTS.md "Performance baseline"). Ten
 // probes:
 //
 //   - engine-schedule-fire: raw scheduler cost, one self-rescheduling event
@@ -37,12 +36,8 @@ import (
 //     BenchmarkSwitchForward pattern, also gated at 0 allocs/op);
 //   - context-cache-hit: resident ICM context lookup on the NIC datapath
 //     (the BenchmarkContextCacheHit pattern, also gated at 0 allocs/op);
-//   - engine-parallel: inter-domain channel ping-pong between two engine
-//     domains — each op is one full stage→barrier→drain→deliver window of
-//     the conservative parallel engine (BenchmarkEngineParallelXfer, gated
-//     at 0 allocs/op);
-//   - clos-forward: a cross-leaf WRITE burst through the partitioned
-//     leaf-spine fabric (2 engine domains), NIC-to-NIC via ECMP trunks;
+//   - clos-forward: a cross-leaf WRITE burst through the leaf-spine
+//     fabric, NIC-to-NIC via ECMP trunks;
 //   - channel-inter-mr / channel-intra-mr: full covert-channel transmits —
 //     NIC + fabric + transport — with simulated events/sec derived from the
 //     engine's fired-event counter;
@@ -177,44 +172,14 @@ func benchCmd(prof nic.Profile, seed int64, args []string) error {
 	})
 	doc.Benchmarks = append(doc.Benchmarks, record("context-cache-hit", r, 0))
 
-	// Inter-domain channel steady state: two domains ping-ponging one packet,
-	// one synchronization window per hop — the parallel engine's per-transfer
-	// floor (barrier, drain, delivery event).
-	var ppFired uint64
-	r = testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		const look = 100 * sim.Nanosecond
-		g := parsim.NewGroup()
-		da := g.AddDomain(sim.NewEngine(seed))
-		db := g.AddDomain(sim.NewEngine(seed))
-		n := 0
-		var ab, ba *parsim.Chan
-		ab = g.Connect(da, db, look, func(p fabric.Packet) {
-			ba.Send(db.Eng.Now().Add(look), p)
-		})
-		ba = g.Connect(db, da, look, func(p fabric.Packet) {
-			n++
-			if n < b.N {
-				ab.Send(da.Eng.Now().Add(look), p)
-			}
-		})
-		b.ResetTimer()
-		da.Eng.At(da.Eng.Now().Add(look), func() {
-			ab.Send(da.Eng.Now().Add(look), fabric.Packet{Dst: 1, Bytes: 1024})
-		})
-		g.Run()
-		ppFired = da.Eng.Fired() + db.Eng.Fired()
-	})
-	doc.Benchmarks = append(doc.Benchmarks, record("engine-parallel", r, ppFired/uint64(r.N)))
-
-	// Partitioned-fabric forwarding: one op is a 32-WRITE burst from a
-	// far-leaf client to the server across the 2-domain Clos — trunk channels,
-	// ECMP hashing and the window protocol all on the path.
+	// Leaf-spine forwarding: one op is a 32-WRITE burst from a far-leaf
+	// client to the server across the default Clos — trunk links, ECMP
+	// hashing and the delayed trunk pause relays all on the path.
 	var closFired uint64
 	r = testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			c := lab.Clos(lab.ClosConfig{Seed: seed + int64(i), Profile: prof, Domains: 2})
+			c := lab.Clos(lab.ClosConfig{Seed: seed + int64(i), Profile: prof})
 			mr, err := c.RegisterServerMR(1 << 20)
 			if err != nil {
 				b.Fatal(err)
@@ -229,10 +194,7 @@ func benchCmd(prof nic.Profile, seed int64, args []string) error {
 				}
 			}
 			c.Run()
-			closFired = 0
-			for _, e := range c.Engines {
-				closFired += e.Fired()
-			}
+			closFired = c.Eng.Fired()
 		}
 	})
 	doc.Benchmarks = append(doc.Benchmarks, record("clos-forward", r, closFired))

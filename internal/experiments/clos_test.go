@@ -6,13 +6,10 @@ import (
 	"github.com/thu-has/ragnar/internal/nic"
 )
 
-// TestGoldenClosRender pins the congestion-tree table. The render runs on
-// 2 engine domains, so the golden file — and every CI run that checks it —
-// exercises the partitioned engine's window protocol, not just the serial
-// path.
+// TestGoldenClosRender pins the congestion-tree table.
 func TestGoldenClosRender(t *testing.T) {
 	checkGolden(t, "clos_cx5", func(workers int) string {
-		r, err := Clos(nic.CX5, 2, false, 1, workers)
+		r, err := Clos(nic.CX5, false, 1, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -20,31 +17,23 @@ func TestGoldenClosRender(t *testing.T) {
 	})
 }
 
-// TestClosExperimentDeterministic sweeps engine-domain count and worker
-// count jointly: every (domains, workers) pair must render the identical
-// table. Domain partitioning is the parallel-engine equivalence contract;
-// worker independence is the per-cell seed-derivation contract — and the
-// grid pins that the two compose (partitioned fabrics running concurrently
-// in different worker goroutines still match the serial single-worker run).
+// TestClosExperimentDeterministic: every worker count must render the
+// identical table at a seed other than the golden's — the per-cell
+// seed-derivation contract (fabrics running concurrently in different
+// worker goroutines still match the single-worker run).
 func TestClosExperimentDeterministic(t *testing.T) {
-	render := func(domains, workers int) string {
-		r, err := Clos(nic.CX5, domains, false, 5, workers)
+	render := func(workers int) string {
+		r, err := Clos(nic.CX5, false, 5, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r.Domains = 1 // drop the only legitimately varying field from the comparison
 		return r.Render()
 	}
-	want := render(1, 1)
-	for _, domains := range []int{1, 2, 3, 6} {
-		for _, workers := range []int{1, 2, 4} {
-			if domains == 1 && workers == 1 {
-				continue
-			}
-			if got := render(domains, workers); got != want {
-				t.Errorf("domains=%d workers=%d diverged from serial single-worker run:\n--- want ---\n%s--- got ---\n%s",
-					domains, workers, want, got)
-			}
+	want := render(1)
+	for _, workers := range []int{2, 4} {
+		if got := render(workers); got != want {
+			t.Errorf("workers=%d diverged from the single-worker run:\n--- want ---\n%s--- got ---\n%s",
+				workers, want, got)
 		}
 	}
 }
@@ -53,7 +42,7 @@ func TestClosExperimentDeterministic(t *testing.T) {
 // over-threshold aggressor cell must light up PFC beyond the server leaf —
 // at least one spine — while the under-threshold cell stays PFC-silent.
 func TestClosTreeSpansSwitches(t *testing.T) {
-	r, err := Clos(nic.CX5, 2, false, 1, 1)
+	r, err := Clos(nic.CX5, false, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

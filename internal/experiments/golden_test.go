@@ -100,3 +100,68 @@ func TestGoldenTable5Render(t *testing.T) {
 		return r.Render()
 	})
 }
+
+// The goldens below use the ragnar CLI's default arguments (-nic cx4,
+// -seed 1, 200 probes), so each file matches `ragnar <exp>` byte for byte.
+
+func TestGoldenFig7Render(t *testing.T) {
+	checkGolden(t, "fig7_cx4", func(workers int) string {
+		r, err := Fig7(nic.CX4, 200, 1, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.Render()
+	})
+}
+
+func TestGoldenFig9Render(t *testing.T) {
+	checkGolden(t, "fig9", func(workers int) string {
+		return Fig9(1, workers).Render()
+	})
+}
+
+func TestGoldenFig10Render(t *testing.T) {
+	checkGolden(t, "fig10", func(int) string {
+		r, err := Fig10(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.Render()
+	})
+}
+
+func TestGoldenFig11Render(t *testing.T) {
+	checkGolden(t, "fig11", func(workers int) string {
+		r, err := Fig11(1, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.Render()
+	})
+}
+
+func TestGoldenFig12Render(t *testing.T) {
+	checkGolden(t, "fig12_cx4", func(int) string {
+		return Fig12(nic.CX4, 1).Render()
+	})
+}
+
+func TestGoldenPythiaRender(t *testing.T) {
+	checkGolden(t, "pythia", func(int) string {
+		r, err := PythiaCompare(64, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.Render()
+	})
+}
+
+func TestGoldenDefenseRender(t *testing.T) {
+	checkGolden(t, "defense_cx4", func(int) string {
+		r, err := DefenseEval(nic.CX4, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.Render()
+	})
+}

@@ -62,41 +62,6 @@ func TestRouteECMPSinglePortDegrades(t *testing.T) {
 	}
 }
 
-// TestLinkSetRemote: the remote hook sees the packet after serialization
-// with the arrival stamped one propagation delay ahead, and the local sink
-// never fires.
-func TestLinkSetRemote(t *testing.T) {
-	e := sim.NewEngine(1)
-	local := 0
-	l := NewLink(e, "trunk", 100, 250*sim.Nanosecond, 0, func(Packet) { local++ })
-	type rx struct {
-		at   sim.Time
-		sent sim.Time
-	}
-	var got []rx
-	l.SetRemote(func(at sim.Time, p Packet) { got = append(got, rx{at, e.Now()}) })
-	for i := 0; i < 3; i++ {
-		if err := l.Send(Packet{TC: 0, Bytes: 1024, Dst: 1}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	e.Run()
-	if local != 0 {
-		t.Fatalf("local sink fired %d times with remote hook installed", local)
-	}
-	if len(got) != 3 {
-		t.Fatalf("remote hook saw %d packets, want 3", len(got))
-	}
-	for i, r := range got {
-		if want := r.sent.Add(250 * sim.Nanosecond); r.at != want {
-			t.Fatalf("packet %d arrival %v, want serialization end + prop = %v", i, r.at, want)
-		}
-	}
-	if l.TxPackets(0) != 3 {
-		t.Fatalf("tx counter %d, want 3 (remote leg must not skip serialization accounting)", l.TxPackets(0))
-	}
-}
-
 // TestSetPauseRelayReplacesUpstreamCall: a port with a relay must not touch
 // its upstream link directly; ports without one keep the synchronous call.
 func TestSetPauseRelayReplacesUpstreamCall(t *testing.T) {

@@ -81,14 +81,13 @@ type swPort struct {
 	// set, this port's egress link is paused for the class. Each class holds
 	// at most one armed expiry event; a refreshing frame cancels and
 	// re-arms it, so no stale expiry callbacks linger in the queue after a
-	// run (the parallel barrier's quiesce check audits exactly that).
+	// run (Engine.DrainCheck audits exactly that).
 	rxPaused  [NumTCs]bool
 	rxPauseEv [NumTCs]sim.Event
 	rxExpire  [NumTCs]func() // pre-bound expiry callbacks, built lazily
 	// relay, when set, replaces the direct upstream.PauseTC/ResumeTC call
 	// for this port's PFC propagation. Trunk ports use it to model the
-	// pause frame's flight time to the peer switch — and, in a partitioned
-	// run, to carry the state change across the domain boundary.
+	// pause frame's flight time to the peer switch.
 	relay func(tc int, pause bool)
 }
 
@@ -184,10 +183,9 @@ func (s *Switch) SetUpstream(port int, l *Link) { s.ports[port].upstream = l }
 
 // SetPauseRelay replaces the port's direct upstream PauseTC/ResumeTC call
 // with relay (nil restores the direct call). Wiring time only. The lab
-// builder installs relays on trunk ports so the pause frame takes the
-// trunk's propagation delay to reach the peer switch — identically in
-// serial runs (a delayed event) and partitioned runs (an inter-domain
-// channel transfer).
+// builder installs relays on trunk ports so a pause frame reaches the peer
+// switch one trunk propagation delay after it is emitted, as on a real
+// cable, instead of instantly.
 func (s *Switch) SetPauseRelay(port int, relay func(tc int, pause bool)) {
 	s.ports[port].relay = relay
 }
@@ -424,7 +422,7 @@ func (s *Switch) PortPause(port, tc int) {
 	// previous event instead of stacking a stale no-op behind it. The old
 	// schedule-per-frame scheme left every superseded expiry pending until
 	// its timestamp passed, so Engine.Pending was nonzero long after a run
-	// quiesced — an event leak the parallel barrier cannot tolerate.
+	// quiesced — an event leak Engine.DrainCheck flags.
 	p.rxPauseEv[tc].Cancel()
 	if p.rxExpire[tc] == nil {
 		port, tc := port, tc

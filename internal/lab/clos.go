@@ -1,37 +1,21 @@
 // Clos builds the two-tier leaf-spine fabric the scaled multi-tenant
 // experiments run on: every leaf trunks to every spine, hosts hang off
 // leaves, and leaf-to-leaf traffic spreads across the spines with
-// flow-hashed ECMP. Unlike Build's switch tree, a Clos has path diversity
-// — and, optionally, engine-domain parallelism: the fabric partitions at
-// trunk boundaries into one domain per component (a leaf plus its hosts,
-// or a spine), and trunk propagation delay becomes the conservative
-// lookahead for the window protocol in internal/sim/parallel.
+// flow-hashed ECMP. Unlike Build's switch tree, a Clos has path diversity.
 //
-// Equivalence contract: a Clos built with Domains: 1 and one built with
-// Domains: N run the same virtual-time schedule. Four construction rules
-// make that hold:
+// Three model conventions fix its schedule, and the clos golden rests on
+// all three:
 //
-//  1. Every domain engine is seeded with the same cfg.Seed, and no model
-//     consumes engine RNG at runtime — each NIC's TPU jitter is reseeded
-//     from (seed, host index) so the stream does not depend on how many
-//     NICs share an engine.
-//  2. Trunk PFC pause/resume is relayed with one trunk propagation delay
-//     in BOTH modes (an engine callback when the two switches share a
-//     domain, a channel transfer when they do not), so partitioning never
-//     changes pause timing. Host-port pause stays synchronous in both.
-//  3. Cross-domain trunk links hand packets to a timestamped channel with
-//     arrival = serialization end + propagation — the same instant the
-//     single-engine link would have delivered them.
-//  4. Every trunk and host uplink carries a deterministic picosecond-scale
-//     propagation skew (real cable lengths are never identical), so no
-//     two paths through the fabric have exactly equal delay. Same-
-//     picosecond ties between causally independent events are the one
-//     place serial and partitioned builds order work differently (global
-//     heap sequence vs channel drain order); the skew keeps such ties
-//     from ever deciding queueing, so the schedules coincide.
-//
-// scripts/equivalence.sh re-checks the contract end to end: every shipped
-// experiment must render byte-identically at -domains 1, 2 and N.
+//  1. Each NIC's TPU jitter is reseeded from (seed, host index), so a
+//     host's noise stream does not depend on how many NICs were built
+//     before it on the shared engine RNG.
+//  2. Trunk PFC pause/resume reaches the peer switch one trunk propagation
+//     delay after it is emitted, as a pause frame on a real cable does.
+//     Host-port pause stays synchronous.
+//  3. Every trunk and host uplink carries a deterministic picosecond-scale
+//     propagation skew (real cable lengths are never identical), so no two
+//     paths through the fabric have exactly equal delay and same-instant
+//     arrival ties never decide queueing.
 
 package lab
 
@@ -42,7 +26,6 @@ import (
 	"github.com/thu-has/ragnar/internal/host"
 	"github.com/thu-has/ragnar/internal/nic"
 	"github.com/thu-has/ragnar/internal/sim"
-	parsim "github.com/thu-has/ragnar/internal/sim/parallel"
 	"github.com/thu-has/ragnar/internal/verbs"
 )
 
@@ -51,20 +34,15 @@ import (
 type ClosConfig struct {
 	Seed         int64
 	Profile      nic.Profile
-	Leaves       int // leaf switches; default 2
-	Spines       int // spine switches; default 2
-	HostsPerLeaf int // hosts per leaf, server included on leaf 0; default 2
-	// Domains is the number of engine domains the fabric partitions into,
-	// clamped to [1, Leaves+Spines]. 1 (or 0) builds everything on a single
-	// engine; N spreads leaf/spine components across N engines run by the
-	// conservative window protocol.
-	Domains   int
-	TrunkGbps float64      // leaf-spine trunk rate; default 400
-	PropDelay sim.Duration // per-segment propagation; default 100 ns
-	QoS       fabric.QoSConfig
-	ServerHW  host.Config // default host.H3
-	ClientHW  host.Config // default host.H2
-	Switch    fabric.SwitchConfig
+	Leaves       int          // leaf switches; default 2
+	Spines       int          // spine switches; default 2
+	HostsPerLeaf int          // hosts per leaf, server included on leaf 0; default 2
+	TrunkGbps    float64      // leaf-spine trunk rate; default 400
+	PropDelay    sim.Duration // per-segment propagation; default 100 ns
+	QoS          fabric.QoSConfig
+	ServerHW     host.Config // default host.H3
+	ClientHW     host.Config // default host.H2
+	Switch       fabric.SwitchConfig
 }
 
 // noiseStream offsets the DeriveSeed index space used for per-NIC TPU
@@ -100,45 +78,15 @@ func Clos(cfg ClosConfig) *Topology {
 		cfg.ClientHW = host.H2
 	}
 
-	// Components 0..Leaves-1 are the leaves (each with its hosts),
-	// Leaves..Leaves+Spines-1 the spines. A block partition assigns
-	// contiguous components to domains; component 0 — the server's leaf —
-	// always lands in domain 0, so Topology.Eng is the server's engine.
-	numComp := cfg.Leaves + cfg.Spines
-	nd := cfg.Domains
-	if nd < 1 {
-		nd = 1
-	}
-	if nd > numComp {
-		nd = numComp
-	}
-	domOf := func(comp int) int { return comp * nd / numComp }
-
-	engines := make([]*sim.Engine, nd)
-	for d := range engines {
-		engines[d] = sim.NewEngine(cfg.Seed)
-	}
-	var group *parsim.Group
-	var domains []*parsim.Domain
-	if nd > 1 {
-		group = parsim.NewGroup()
-		domains = make([]*parsim.Domain, nd)
-		for d, e := range engines {
-			domains[d] = group.AddDomain(e)
-		}
-	}
-	engFor := func(comp int) *sim.Engine { return engines[domOf(comp)] }
-
-	server := verbs.NewContext(engFor(0), "server", cfg.ServerHW, cfg.Profile, 0)
+	eng := sim.NewEngine(cfg.Seed)
+	server := verbs.NewContext(eng, "server", cfg.ServerHW, cfg.Profile, 0)
 	t := &Topology{
-		Eng:      engines[0],
-		Engines:  engines,
-		Group:    group,
+		Eng:      eng,
 		Profile:  cfg.Profile,
 		Server:   server,
 		ServerPD: server.AllocPD(),
 	}
-	net := verbs.NewNetwork(engines[0])
+	net := verbs.NewNetwork(eng)
 	net.PropDelay = prop
 	t.Net = net
 
@@ -150,7 +98,7 @@ func Clos(cfg ClosConfig) *Topology {
 			sc = DefaultSwitchConfig()
 		}
 		sc.Name = fmt.Sprintf("leaf%d", i)
-		leaves[i] = fabric.NewSwitch(engFor(i), sc)
+		leaves[i] = fabric.NewSwitch(eng, sc)
 	}
 	for j := range spines {
 		sc := cfg.Switch
@@ -158,7 +106,7 @@ func Clos(cfg ClosConfig) *Topology {
 			sc = DefaultSwitchConfig()
 		}
 		sc.Name = fmt.Sprintf("spine%d", j)
-		spines[j] = fabric.NewSwitch(engFor(cfg.Leaves+j), sc)
+		spines[j] = fabric.NewSwitch(eng, sc)
 	}
 	t.Switches = append(append(t.Switches, leaves...), spines...)
 
@@ -170,14 +118,11 @@ func Clos(cfg ClosConfig) *Topology {
 	for j := range spinePorts {
 		spinePorts[j] = make([]int, cfg.Leaves)
 	}
-	// Rule 4 of the equivalence contract: picosecond-scale, deterministic
-	// propagation skew per trunk and per host uplink (cable lengths are
-	// never exactly equal in a real pod). Without it, a symmetric fabric
-	// produces same-picosecond arrival ties between clients on different
-	// leaves, and serial and partitioned builds resolve those ties through
-	// different mechanisms — the one place the two modes can diverge. The
-	// skew makes every path's delay unique, so tie order never decides
-	// anything.
+	// Convention 3: picosecond-scale, deterministic propagation skew per
+	// trunk and per host uplink (cable lengths are never exactly equal in a
+	// real pod). Without it, a symmetric fabric produces same-picosecond
+	// arrival ties between clients on different leaves, and their order
+	// would fall to scheduling sequence instead of the model.
 	for i, leaf := range leaves {
 		leafPorts[i] = make([]int, cfg.Spines)
 		for j, spine := range spines {
@@ -187,26 +132,26 @@ func Clos(cfg ClosConfig) *Topology {
 			leafPorts[i][j] = pl
 			spinePorts[j][i] = ps
 			t.Links = append(t.Links, leaf.EgressLink(pl), spine.EgressLink(ps))
-			wireTrunk(t, group, domains, tprop,
-				leaf, pl, domOf(i), spine, ps, domOf(cfg.Leaves+j))
+			// Convention 2: the relay on the leaf's port pauses the spine's
+			// egress link (the leaf's upstream), and vice versa.
+			leaf.SetPauseRelay(pl, delayedPause(eng, tprop, spine.EgressLink(ps)))
+			spine.SetPauseRelay(ps, delayedPause(eng, tprop, leaf.EgressLink(pl)))
 		}
 	}
 	net.PropDelay = prop
 
-	// Hosts, leaf-major. The builder network follows each leaf's engine so
-	// uplinks land on the right domain; contexts take the engine directly.
+	// Hosts, leaf-major.
 	var serverUp *fabric.Link
 	hostIdx := 0
 	for i, leaf := range leaves {
-		net.UseEngine(engFor(i))
 		for h := 0; h < cfg.HostsPerLeaf; h++ {
-			// Per-host cable skew (rule 4 again, host side).
+			// Per-host cable skew (convention 3, host side).
 			net.PropDelay = prop + sim.Duration(hostIdx+1)*sim.Picosecond
 			var ctx *verbs.Context
 			if i == 0 && h == 0 {
 				ctx = server
 			} else {
-				ctx = verbs.NewContext(engFor(i), fmt.Sprintf("client%d", len(t.Clients)),
+				ctx = verbs.NewContext(eng, fmt.Sprintf("client%d", len(t.Clients)),
 					cfg.ClientHW, cfg.Profile, 0)
 			}
 			port, up := net.AttachToSwitch(ctx, leaf, cfg.QoS)
@@ -220,8 +165,7 @@ func Clos(cfg ClosConfig) *Topology {
 					other.RouteECMP(addr, leafPorts[k])
 				}
 			}
-			// Rule 1 of the equivalence contract: jitter streams keyed by
-			// host index, not by engine.
+			// Convention 1: jitter streams keyed by host index.
 			ctx.NIC().TPU().ReseedNoise(sim.DeriveSeed(cfg.Seed, noiseStream+uint64(hostIdx)))
 			hostIdx++
 			if ctx == server {
@@ -233,41 +177,11 @@ func Clos(cfg ClosConfig) *Topology {
 			t.Clients = append(t.Clients, ctx)
 		}
 	}
-	net.UseEngine(engines[0])
 	return t
 }
 
-// wireTrunk installs the cross-trunk plumbing for one leaf-spine pair:
-// pause relays delayed by one propagation time on both ends (rule 2), and
-// — when the ends live in different domains — timestamped channels that
-// replace the links' synchronous sinks (rule 3).
-func wireTrunk(t *Topology, group *parsim.Group, domains []*parsim.Domain, prop sim.Duration,
-	a *fabric.Switch, pa int, da int, b *fabric.Switch, pb int, db int) {
-	la, lb := a.EgressLink(pa), b.EgressLink(pb)
-	if group == nil || da == db {
-		// Same engine: relay through a delayed callback. The relay on a's
-		// port pauses b's egress link (a's upstream), and vice versa.
-		eng := t.Engines[da]
-		a.SetPauseRelay(pa, delayedPause(eng, prop, lb))
-		b.SetPauseRelay(pb, delayedPause(eng, prop, la))
-		return
-	}
-	chAB := group.Connect(domains[da], domains[db], prop, b.Ingress)
-	chBA := group.Connect(domains[db], domains[da], prop, a.Ingress)
-	la.SetRemote(chAB.Send)
-	lb.SetRemote(chBA.Send)
-	engA, engB := t.Engines[da], t.Engines[db]
-	a.SetPauseRelay(pa, func(tc int, pause bool) {
-		chAB.SendPause(engA.Now().Add(prop), lb, tc, pause)
-	})
-	b.SetPauseRelay(pb, func(tc int, pause bool) {
-		chBA.SendPause(engB.Now().Add(prop), la, tc, pause)
-	})
-}
-
-// delayedPause returns a same-engine pause relay: the PFC frame reaches
-// the peer's egress link one propagation delay after it is emitted,
-// matching the cross-domain channel timing exactly.
+// delayedPause returns a trunk pause relay: the PFC frame reaches the
+// peer's egress link one propagation delay after it is emitted.
 func delayedPause(eng *sim.Engine, prop sim.Duration, target *fabric.Link) func(int, bool) {
 	return func(tc int, pause bool) {
 		if pause {

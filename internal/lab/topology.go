@@ -14,7 +14,6 @@ import (
 	"github.com/thu-has/ragnar/internal/host"
 	"github.com/thu-has/ragnar/internal/nic"
 	"github.com/thu-has/ragnar/internal/sim"
-	parsim "github.com/thu-has/ragnar/internal/sim/parallel"
 	"github.com/thu-has/ragnar/internal/verbs"
 )
 
@@ -34,53 +33,23 @@ type Topology struct {
 	Links []*fabric.Link
 	// Switches lists every switch in build order (empty for Pair).
 	Switches []*fabric.Switch
-	// Engines lists one engine per domain in domain order; Engines[0] == Eng
-	// (the server's domain). Single-engine topologies have exactly one entry.
-	Engines []*sim.Engine
-	// Group coordinates the engine domains of a partitioned topology (see
-	// Clos); nil when everything runs on one engine.
-	Group *parsim.Group
 }
 
-// Run executes the topology until every domain is idle. Single-engine
-// topologies delegate straight to the engine; partitioned ones run the
-// conservative window protocol.
-func (t *Topology) Run() {
-	if t.Group != nil {
-		t.Group.Run()
-		return
-	}
-	t.Eng.Run()
-}
+// Run executes the topology until its engine is idle.
+func (t *Topology) Run() { t.Eng.Run() }
 
-// RunUntil executes until the given virtual time on every domain.
-func (t *Topology) RunUntil(deadline sim.Time) {
-	if t.Group != nil {
-		t.Group.RunUntil(deadline)
-		return
-	}
-	t.Eng.RunUntil(deadline)
-}
+// RunUntil executes until the given virtual time.
+func (t *Topology) RunUntil(deadline sim.Time) { t.Eng.RunUntil(deadline) }
 
 // RunFor advances the topology by d from its current time.
 func (t *Topology) RunFor(d sim.Duration) { t.RunUntil(t.Now().Add(d)) }
 
-// Now returns the topology's current virtual time (the max across domains).
-func (t *Topology) Now() sim.Time {
-	if t.Group != nil {
-		return t.Group.Now()
-	}
-	return t.Eng.Now()
-}
+// Now returns the topology's current virtual time.
+func (t *Topology) Now() sim.Time { return t.Eng.Now() }
 
-// DrainCheck reports an error if any domain still has live events or any
-// inter-domain channel holds staged transfers — the end-of-run leak oracle.
-func (t *Topology) DrainCheck() error {
-	if t.Group != nil {
-		return t.Group.DrainCheck()
-	}
-	return t.Eng.DrainCheck()
-}
+// DrainCheck reports an error if the engine still has live events — the
+// end-of-run leak oracle.
+func (t *Topology) DrainCheck() error { return t.Eng.DrainCheck() }
 
 // DefaultSwitchConfig is the shared-buffer switch used when a switched
 // topology is requested without explicit switch parameters: a 300 ns
@@ -135,7 +104,6 @@ func Pair(cfg Config) *Topology {
 	server := verbs.NewContext(eng, "server", cfg.ServerHW, cfg.Profile, 0)
 	t := &Topology{
 		Eng:      eng,
-		Engines:  []*sim.Engine{eng},
 		Profile:  cfg.Profile,
 		Server:   server,
 		ServerPD: server.AllocPD(),
@@ -164,7 +132,6 @@ func Star(cfg Config) *Topology {
 	server := verbs.NewContext(eng, "server", cfg.ServerHW, cfg.Profile, 0)
 	t := &Topology{
 		Eng:      eng,
-		Engines:  []*sim.Engine{eng},
 		Profile:  cfg.Profile,
 		Server:   server,
 		ServerPD: server.AllocPD(),
@@ -198,7 +165,6 @@ func DualRail(cfg Config) *Topology {
 	server := verbs.NewContext(eng, "server", cfg.ServerHW, cfg.Profile, 0)
 	t := &Topology{
 		Eng:      eng,
-		Engines:  []*sim.Engine{eng},
 		Profile:  cfg.Profile,
 		Server:   server,
 		ServerPD: server.AllocPD(),
@@ -274,7 +240,6 @@ func Build(spec Spec) *Topology {
 	server := verbs.NewContext(eng, "server", cfg.ServerHW, cfg.Profile, 0)
 	t := &Topology{
 		Eng:      eng,
-		Engines:  []*sim.Engine{eng},
 		Profile:  cfg.Profile,
 		Server:   server,
 		ServerPD: server.AllocPD(),

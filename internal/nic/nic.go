@@ -397,9 +397,9 @@ type NIC struct {
 	// responder-side message; zero normally.
 	ResponderDelay func() sim.Duration
 
-	// Tap, when set with EncodeFrames on, receives every departing frame
-	// fully encapsulated (Ethernet+IPv4+UDP+RoCEv2) at its departure time —
-	// the hook the pcap exporter uses.
+	// Tap, when set, receives every departing frame fully encapsulated
+	// (Ethernet+IPv4+UDP+RoCEv2) at its departure time — the hook the pcap
+	// exporter uses.
 	Tap func(at sim.Time, frame []byte)
 	ip  [4]byte
 
@@ -674,7 +674,7 @@ func (n *NIC) CreateQP(qpn uint32, onComplete func(Completion), onRecv func(Recv
 
 // DestroyQP tears down a queue pair: the armed retransmit timer is
 // cancelled (leaving it would hold a live event past quiesce — exactly the
-// leak the parallel barrier's DrainCheck flags), outstanding WQEs are
+// leak the engine's DrainCheck flags), outstanding WQEs are
 // abandoned without completions (matching ibv_destroy_qp, which flushes
 // nothing once the QP leaves RTS), and the QPN becomes reusable. In-flight
 // messages referencing the QP resolve against the map and are dropped on
@@ -899,16 +899,15 @@ func (n *NIC) transmit(dst *NIC, m *Message, ring int) {
 			n.eng.After(sim.Nanosecond, func() { dst.HandleIngress(m) })
 			return
 		}
-		var frames [][]byte
-		if EncodeFrames {
-			var err error
-			if frames, err = encodeSegments(m, n.prof.MTU); err != nil {
-				panic(fmt.Sprintf("nic %s: frame encode: %v", n.Name, err))
-			}
-			if n.Tap != nil {
-				for _, f := range frames {
-					n.Tap(n.eng.Now(), wire.Encapsulate(f, n.ip, dst.ip, 49152+uint16(m.SrcQPN&0x3fff)))
-				}
+		// Wire fidelity: every message travels in its real RoCEv2 transport
+		// encoding, parsed and cross-checked on ingress.
+		frames, err := encodeSegments(m, n.prof.MTU)
+		if err != nil {
+			panic(fmt.Sprintf("nic %s: frame encode: %v", n.Name, err))
+		}
+		if n.Tap != nil {
+			for _, f := range frames {
+				n.Tap(n.eng.Now(), wire.Encapsulate(f, n.ip, dst.ip, 49152+uint16(m.SrcQPN&0x3fff)))
 			}
 		}
 		env := n.getEnv()
@@ -934,9 +933,9 @@ func flowLabel(srcQPN, dstQPN uint32) uint32 {
 	return srcQPN*2654435761 + dstQPN
 }
 
-// envelope routes a fabric packet to the destination NIC. When wire
-// fidelity is on it also carries the message's real RoCEv2 encoding, which
-// the receiver parses and cross-checks.
+// envelope routes a fabric packet to the destination NIC. It also carries
+// the message's real RoCEv2 encoding, which the receiver parses and
+// cross-checks; envelopes forged by an on-path adversary carry none.
 type envelope struct {
 	dst    *NIC
 	msg    *Message
@@ -965,7 +964,7 @@ func Deliver(p fabric.Packet) {
 	}
 	if frames != nil {
 		// Wire fidelity: the frames must decode back to exactly the message
-		// being delivered.
+		// being delivered. Forged envelopes (adversary.go) carry no frames.
 		if err := verifySegments(frames, m); err != nil {
 			panic("nic: wire/simulation divergence: " + err.Error())
 		}

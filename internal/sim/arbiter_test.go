@@ -18,12 +18,59 @@ func (strictPick) Pick(q []ReqMeta) int {
 	return best
 }
 
+// refPriorityServer is an independent single-slot reference model of
+// strict-priority service: waiting requests are kept sorted by class
+// (stable within a class, so FIFO among equals) and served from the front.
+type refPriorityServer struct {
+	eng   *Engine
+	busy  bool
+	queue []refReq
+}
+
+type refReq struct {
+	service Duration
+	class   int
+	done    func()
+}
+
+func (s *refPriorityServer) Submit(service Duration, class int, done func()) {
+	req := refReq{service: service, class: class, done: done}
+	if !s.busy {
+		s.start(req)
+		return
+	}
+	i := len(s.queue)
+	for i > 0 && s.queue[i-1].class > class {
+		i--
+	}
+	s.queue = append(s.queue, refReq{})
+	copy(s.queue[i+1:], s.queue[i:])
+	s.queue[i] = req
+}
+
+func (s *refPriorityServer) start(req refReq) {
+	s.busy = true
+	s.eng.After(req.service, func() {
+		s.busy = false
+		if req.done != nil {
+			req.done()
+		}
+		if len(s.queue) > 0 && !s.busy {
+			next := s.queue[0]
+			s.queue = s.queue[1:]
+			s.start(next)
+		}
+	})
+}
+
 // The strategy seam's core equivalence: an arbitrated server whose arbiter
 // picks the first index of the minimum class over the FIFO arrival queue
-// produces exactly the schedule of the priority server's sorted-insert +
-// pop-front queue — for any submission pattern. Every legacy golden rests
-// on this.
+// produces exactly the schedule of a sorted-insert + pop-front queue — for
+// any submission pattern. Every legacy golden rests on this.
 func TestArbitratedStrictMatchesPriorityServer(t *testing.T) {
+	type submitter interface {
+		Submit(service Duration, class int, done func())
+	}
 	for trial := 0; trial < 20; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial) + 1))
 
@@ -41,7 +88,7 @@ func TestArbitratedStrictMatchesPriorityServer(t *testing.T) {
 			}
 		}
 
-		run := func(mk func(*Engine) *Server) []Time {
+		run := func(mk func(*Engine) submitter) []Time {
 			eng := NewEngine(7)
 			s := mk(eng)
 			done := make([]Time, len(subs))
@@ -55,11 +102,11 @@ func TestArbitratedStrictMatchesPriorityServer(t *testing.T) {
 			return done
 		}
 
-		prio := run(func(e *Engine) *Server { return NewPriorityServer(e, "prio", 1) })
-		arb := run(func(e *Engine) *Server { return NewArbitratedServer(e, "arb", 1, strictPick{}) })
+		prio := run(func(e *Engine) submitter { return &refPriorityServer{eng: e} })
+		arb := run(func(e *Engine) submitter { return NewArbitratedServer(e, "arb", 1, strictPick{}) })
 		for i := range prio {
 			if prio[i] != arb[i] {
-				t.Fatalf("trial %d: completion %d differs: priority=%v arbitrated=%v", trial, i, prio[i], arb[i])
+				t.Fatalf("trial %d: completion %d differs: reference=%v arbitrated=%v", trial, i, prio[i], arb[i])
 			}
 		}
 	}

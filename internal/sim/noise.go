@@ -19,14 +19,12 @@ func NewNoise(rng *rand.Rand, sigma, spike Duration, spikeP float64) *Noise {
 	return &Noise{rng: rng, sigma: sigma, spike: spike, spikeP: spikeP}
 }
 
-// Reseed replaces the noise stream with a private source. Partitioned
-// topologies use this to decorrelate model jitter from the engine RNG:
-// with jitter drawn from the shared engine stream, the interleaving of
-// draws — and therefore every sample — depends on how many components
-// share the engine, so serial and partitioned builds of the same topology
-// would diverge. A per-component stream derived from (seed, component
-// index) is identical no matter how the components are split across
-// engines.
+// Reseed replaces the noise stream with a private source, decorrelating
+// model jitter from the engine RNG: with jitter drawn from the shared
+// engine stream, the interleaving of draws — and therefore every sample —
+// depends on how many components share the engine. A per-component stream
+// derived from (seed, component index) makes each component's jitter a
+// function of its own identity alone.
 func (n *Noise) Reseed(seed int64) {
 	if n != nil {
 		n.rng = rand.New(rand.NewSource(seed))

@@ -613,18 +613,6 @@ func (n *Network) SetPathECMP(src, dst *Context, firstHops []*fabric.Link) {
 	src.dev.AddPeerLinks(dst.dev, firstHops)
 }
 
-// UseEngine switches the engine used for links and contexts the builder
-// creates from now on. Topology builders that partition a fabric across
-// several engines call this between components; single-engine callers never
-// need it. It returns the network so wiring code can chain it.
-func (n *Network) UseEngine(eng *sim.Engine) *Network {
-	n.eng = eng
-	return n
-}
-
-// Engine returns the engine new links are currently created on.
-func (n *Network) Engine() *sim.Engine { return n.eng }
-
 // ConnectSwitches trunks two switches with a full-duplex pair of ports at
 // the given rate. Each switch's trunk port names the other switch's egress
 // link as its upstream, so PFC pause propagates across the trunk. Routing

@@ -11,14 +11,13 @@
 // Usage:
 //
 //	go test -run '^$' -bench '^(BenchmarkEngine|BenchmarkEmitDisabled|BenchmarkSwitchForward|BenchmarkContextCacheHit|BenchmarkLinkAdversaryOff|BenchmarkCQPollInto|BenchmarkArbiterPick)' \
-//	    -benchtime 1000x -benchmem ./internal/sim ./internal/sim/parallel ./internal/trace ./internal/fabric ./internal/nic ./internal/verbs \
-//	    | go run ./scripts/benchguard.go -min 12
+//	    -benchtime 1000x -benchmem ./internal/sim ./internal/trace ./internal/fabric ./internal/nic ./internal/verbs \
+//	    | go run ./scripts/benchguard.go -min 11
 //
 // The gate also fails when fewer guarded benchmarks appear than expected
-// (-min, default 7; the Makefile passes 12 to include the inter-domain
-// channel ping-pong, the adversary-off link path, the CQ drain path and
-// both egress-arbiter strategies): a renamed or deleted benchmark must not silently drop out of
-// the guard.
+// (-min, default 7; the Makefile passes 11 to include the adversary-off
+// link path, the CQ drain path and both egress-arbiter strategies): a
+// renamed or deleted benchmark must not silently drop out of the guard.
 package main
 
 import (

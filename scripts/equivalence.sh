@@ -1,16 +1,8 @@
 #!/usr/bin/env bash
-# End-to-end equivalence checks on the shipped CLI, two axes:
-#
-#   1. Worker parallelism: -workers changes only wall-clock time, never a
-#      byte of output. Every converted experiment runs at -workers=1 and
-#      -workers=4 and the outputs are diffed.
-#   2. Engine partitioning: -domains selects how many engine domains a
-#      partitionable fabric (clos) is split across; the conservative
-#      parallel engine must produce byte-identical results at any count.
-#      Every experiment runs at -domains 1, 2 and 6 — for clos that
-#      exercises the window protocol end to end, for the single-engine
-#      experiments it pins that the flag is inert. Only the rendered
-#      domain-count header may differ, so it is normalized before the diff.
+# End-to-end equivalence check on the shipped CLI: -workers changes only
+# wall-clock time, never a byte of output. Every listed experiment runs at
+# -workers=1 and -workers=4 and the outputs are diffed. fig13 is left out
+# only because it is slow.
 set -euo pipefail
 
 tmp=$(mktemp -d)
@@ -18,34 +10,15 @@ trap 'rm -rf "$tmp"' EXIT
 
 go build -o "$tmp/ragnar" ./cmd/ragnar
 
-exps="fig4 fig5 fig6 fig8 table5 lossgrid tenants exhaust nvmf clos defgrid redn"
-
-# The only line that may legitimately vary across -domains is the rendered
-# domain count itself.
-normalize() {
-	sed 's/[0-9]* engine domain(s)/N engine domain(s)/'
-}
+exps="fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12 table5 lossgrid tenants exhaust nvmf pythia defense clos defgrid redn"
 
 for exp in $exps; do
-	"$tmp/ragnar" -workers 1 -domains 2 -seed 7 "$exp" >"$tmp/seq.out"
-	"$tmp/ragnar" -workers 4 -domains 2 -seed 7 "$exp" >"$tmp/par.out"
+	"$tmp/ragnar" -workers 1 -seed 7 "$exp" >"$tmp/seq.out"
+	"$tmp/ragnar" -workers 4 -seed 7 "$exp" >"$tmp/par.out"
 	if ! cmp -s "$tmp/seq.out" "$tmp/par.out"; then
 		echo "equivalence FAILED for $exp:" >&2
 		diff "$tmp/seq.out" "$tmp/par.out" >&2 || true
 		exit 1
 	fi
 	echo "equivalence OK: $exp (-workers=1 == -workers=4)"
-done
-
-for exp in $exps; do
-	"$tmp/ragnar" -workers 2 -domains 1 -seed 7 "$exp" | normalize >"$tmp/serial.out"
-	for d in 2 6; do
-		"$tmp/ragnar" -workers 2 -domains "$d" -seed 7 "$exp" | normalize >"$tmp/part.out"
-		if ! cmp -s "$tmp/serial.out" "$tmp/part.out"; then
-			echo "partitioned-engine equivalence FAILED for $exp at -domains $d:" >&2
-			diff "$tmp/serial.out" "$tmp/part.out" >&2 || true
-			exit 1
-		fi
-	done
-	echo "equivalence OK: $exp (-domains 1 == 2 == 6)"
 done
